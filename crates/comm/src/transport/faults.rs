@@ -23,7 +23,7 @@ use appfl_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,8 +294,16 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         self.inner.supports_recv_any()
     }
 
+    /// Messages from a peer whose link is down are discarded, as a torn
+    /// down connection would lose them, and the wait goes on: an error here
+    /// would tell the caller that every remaining peer is gone.
     fn recv_any(&self) -> Result<(usize, Vec<u8>), CommError> {
-        self.inner.recv_any()
+        loop {
+            let (from, payload) = self.inner.recv_any()?;
+            if !self.link_dead(from) {
+                return Ok((from, payload));
+            }
+        }
     }
 
     fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Vec<u8>, CommError> {
@@ -305,8 +313,16 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         self.inner.recv_timeout(from, timeout)
     }
 
+    /// As [`Self::recv_any`], within `timeout` overall.
     fn recv_any_timeout(&self, timeout: Duration) -> Result<(usize, Vec<u8>), CommError> {
-        self.inner.recv_any_timeout(timeout)
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (from, payload) = self.inner.recv_any_timeout(left)?;
+            if !self.link_dead(from) {
+                return Ok((from, payload));
+            }
+        }
     }
 
     fn stats(&self) -> TrafficSnapshot {
@@ -414,6 +430,31 @@ mod tests {
         ));
         assert!(a.recv_timeout(1, Duration::from_millis(5)).is_err());
         assert!(a.fault_stats().disconnects >= 1);
+    }
+
+    #[test]
+    fn recv_any_discards_messages_from_a_dead_link() {
+        let plan = FaultPlan::new(1).disconnect_after(1, 0);
+        let mut eps = InProcNetwork::new(3);
+        let live = eps.pop().unwrap();
+        let dead = eps.pop().unwrap();
+        let a = FaultyCommunicator::new(eps.pop().unwrap(), plan);
+        dead.send(0, vec![1]).unwrap();
+        live.send(0, vec![2]).unwrap();
+        assert_eq!(a.recv_any().unwrap(), (2, vec![2]));
+        dead.send(0, vec![3]).unwrap();
+        live.send(0, vec![4]).unwrap();
+        assert_eq!(
+            a.recv_any_timeout(Duration::from_millis(50)).unwrap(),
+            (2, vec![4])
+        );
+        // With only the dead peer sending, the wait runs out.
+        dead.send(0, vec![5]).unwrap();
+        assert_eq!(
+            a.recv_any_timeout(Duration::from_millis(20)),
+            Err(CommError::Timeout { peer: None })
+        );
+        assert!(a.fault_stats().disconnects >= 3);
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! * image batches are NCHW;
 //! * matrices are `[rows, cols]`.
 //!
-//! The only `unsafe` in the crate is the call into the AVX2 instance of the
-//! matmul kernels, made after `is_x86_feature_detected!("avx2")` returned
-//! true (see [`ops::matmul`](mod@ops::matmul)).
+//! The `unsafe` in the crate is of two kinds: the call into a SIMD instance
+//! of the matmul and convolution kernels, made after
+//! `is_x86_feature_detected!` reported its instruction set (see
+//! [`ops::matmul`](mod@ops::matmul) and [`ops::conv`](mod@ops::conv)),
+//! and the convolution kernels' vector loads and stores, each on a slice
+//! whose length the caller has checked.
 
 pub mod error;
 pub mod init;

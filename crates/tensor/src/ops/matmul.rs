@@ -1,11 +1,12 @@
 //! Dense matrix multiplication kernels.
 //!
-//! The forward and backward passes of `Linear` and (via im2col) `Conv2d`
-//! reduce to three product forms:
+//! The forward and backward passes of `Linear` reduce to three product
+//! forms (`Conv2d` has its own direct kernels in
+//! [`crate::ops::conv`](mod@crate::ops::conv)):
 //!
-//! * `matmul`:      `C = A · B`  — `Linear`'s input gradient, conv forward
-//! * `matmul_at_b`: `C = Aᵀ · B` — weight gradients, conv input gradient
-//! * `matmul_a_bt`: `C = A · Bᵀ` — `Linear`'s forward, conv weight gradient
+//! * `matmul`:      `C = A · B`  — `Linear`'s input gradient
+//! * `matmul_at_b`: `C = Aᵀ · B` — weight gradients
+//! * `matmul_a_bt`: `C = A · Bᵀ` — `Linear`'s forward
 //!
 //! **One kernel.** All three are one kernel, `gemm`, which takes A and B
 //! each row-major or column-major: the forms differ only in the operands'
@@ -38,8 +39,7 @@
 //! same order as the naive triple loop, bit for bit, on either instance.
 //! There is no FMA (`mul_add`), because a fused multiply-add rounds once
 //! where `a·b` then `+` rounds twice, and no reassociation. A caller that
-//! passes a non-zero C (conv accumulates its weight gradient across
-//! samples) gets `C + a₀b₀ + a₁b₁ + …` in that order.
+//! passes a non-zero C gets `C + a₀b₀ + a₁b₁ + …` in that order.
 //!
 //! Rayon parallelism splits C into `PAR_ROWS`-row blocks, gated by a
 //! flop-count threshold (`2·m·n·k`) so a skinny product with a large inner
@@ -318,9 +318,6 @@ fn gemm(isa: Isa, a: Strided, b: Strided, c: &mut [f32], m: usize, k: usize, n: 
 
 /// `C += A · B` on raw row-major slices (`a`: `m×k`, `b`: `k×n`,
 /// `c`: `m×n`). Callers pass a zeroed `c` for a plain product.
-///
-/// `conv2d` calls this directly on scratch buffers to skip tensor
-/// allocation on the per-sample hot path.
 pub(crate) fn matmul_into(
     isa: Isa,
     a: &[f32],
@@ -428,7 +425,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::conv::{conv2d_backward_with, conv2d_with};
+    use crate::ops::conv::{conv2d_backward_with, conv2d_with, ConvIsa};
     use crate::ops::Conv2dParams;
 
     /// Naive triple-loop oracle for `C = A · B` (the reference the tiled
@@ -501,22 +498,25 @@ mod tests {
             })
     }
 
-    /// Every kernel instance this CPU can run.
+    /// Every kernel instance this CPU can run, printed to stderr (visible
+    /// under `--nocapture`) so a log shows which instances a test covered.
     fn instances() -> Vec<Isa> {
+        let mut all = vec![Isa(IsaKind::Portable)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return vec![Isa(IsaKind::Portable), Isa(IsaKind::Avx2)];
+            all.push(Isa(IsaKind::Avx2));
         }
-        eprintln!("this CPU has no AVX2: only the portable instance runs");
-        vec![Isa(IsaKind::Portable)]
+        eprintln!("matmul kernel instances run: {all:?}");
+        all
     }
 
     /// `(m, k, n)` of `C[m,n] = A[m,k] · B[k,n]`: the products of the
-    /// CNN (`cnn_classifier(8, 16, 64)` at 3×32×32, batch 16) and the MLP
-    /// (784 → 32 → 10, batch 25), shapes one below, at and one above each
-    /// tile extent (`RM`, `RN`, `KC`, `MC`), and degenerate ones. With
-    /// each, the FNV-1a hashes of the `A · B` and `Aᵀ · B` outputs that
-    /// the kernel produced before it took a strided B.
+    /// CNN (`cnn_classifier(8, 16, 64)` at 3×32×32, batch 16; its conv
+    /// layers no longer run through this kernel, but their shapes stay
+    /// pinned) and the MLP (784 → 32 → 10, batch 25), shapes one below, at
+    /// and one above each tile extent (`RM`, `RN`, `KC`, `MC`), and
+    /// degenerate ones. With each, the FNV-1a hashes of the `A · B` and
+    /// `Aᵀ · B` outputs that the kernel produced before it took a strided B.
     #[rustfmt::skip]
     const PINNED: [(usize, usize, usize, u64, u64); 33] = [
         // CNN: conv forward, conv dWᵀ, conv dcols (Aᵀ·B), then fc1/fc2.
@@ -609,6 +609,8 @@ mod tests {
                     ));
                 }
             }
+        }
+        for isa in ConvIsa::instances() {
             for (seed, &(geo, fwd, bwd)) in PINNED_CONV.iter().enumerate() {
                 let (n, c_in, h, w, c_out, kk, stride, padding) = geo;
                 let mut draw = splitmix(100 + seed as u64);
@@ -641,8 +643,7 @@ mod tests {
     }
 
     /// All three product forms equal the naive ascending-`p` sum bit for
-    /// bit on every pinned shape and instance, also when C starts non-zero
-    /// (conv accumulates its weight gradient into C).
+    /// bit on every pinned shape and instance, also when C starts non-zero.
     #[test]
     fn packed_kernels_match_naive_across_tile_boundaries() {
         for isa in instances() {

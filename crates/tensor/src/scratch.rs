@@ -1,9 +1,9 @@
 //! Thread-local scratch-buffer arena for kernel temporaries.
 //!
-//! The hot kernels (`conv2d` forward/backward via im2col, the packed
-//! matmul panels, max-pool argmax tracking) all need short-lived buffers
-//! whose sizes repeat across calls: every forward pass of a given layer
-//! lowers the same `[c_in·kh·kw, h_out·w_out]` column matrix, every round
+//! The hot kernels (`conv2d` forward/backward, the packed matmul panels,
+//! max-pool argmax tracking) all need short-lived buffers whose sizes
+//! repeat across calls: every forward pass of a given layer pads its
+//! samples into the same planes and packs the same weights, every round
 //! re-runs the same layers. Allocating those with `vec![0.0; n]` per call
 //! puts an allocator round-trip and a page-fault warm-up on every
 //! invocation. This arena keeps returned buffers in a thread-local pool
@@ -20,8 +20,8 @@
 //!   then simply migrates pools — correctness is unaffected).
 //! * Buffers come back **zero-filled** (`take`) or uninitialised-but-set
 //!   to a value (`take_filled`); kernels that overwrite every element can
-//!   use `take_filled` with any value, padding-aware kernels (im2col)
-//!   rely on the zeroing.
+//!   use `take_filled` with any value, padding-aware kernels (conv's
+//!   padded planes and dY rows) rely on the zeroing.
 //! * The pool caps both the number of parked buffers and the bytes it
 //!   will retain, so a one-off giant temporary does not pin memory
 //!   forever.
